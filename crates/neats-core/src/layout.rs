@@ -481,7 +481,7 @@ impl NeaTSCompressed {
             }
             let o = offsets.get(i) as usize;
             let o_next = offsets.get(i + 1) as usize;
-            if o_next < o || o_next - o != (end - start) * w {
+            if o_next < o || Some(o_next - o) != (end - start).checked_mul(w) {
                 return Err(WireError::Corrupt("offset stride"));
             }
             let sym = kinds.access(i) as usize;

@@ -494,6 +494,19 @@ mod tests {
     }
 
     #[test]
+    fn crafted_offset_stride_overflow_is_a_typed_error() {
+        // Flipping bit 7 of frame byte 192 of this archive and re-sealing
+        // the checksum yields a fragment whose `(end - start) * width`
+        // overflows `usize`: both readers must reject it, not overflow.
+        let mut crafted = NeaTS::compress(&walk(400, 6)).to_bytes();
+        crafted[192] ^= 0x80;
+        repack_with_valid_crc(&mut crafted);
+        let want = Some(WireError::Corrupt("offset stride"));
+        assert_eq!(NeaTSCompressed::from_bytes(&crafted).err(), want);
+        assert_eq!(ArchiveView::open(&crafted).err(), want);
+    }
+
+    #[test]
     fn empty_series_serialises() {
         let ts = TimeSeries::from_values(vec![]);
         let c = NeaTS::compress(&ts);

@@ -361,7 +361,7 @@ impl<'a> LosslessView<'a> {
                 return Err(WireError::Corrupt("correction width"));
             }
             let o_next = offsets_it.next().expect("length checked above") as usize;
-            if o_next < o_prev || o_next - o_prev != (end - start) * w {
+            if o_next < o_prev || Some(o_next - o_prev) != (end - start).checked_mul(w) {
                 return Err(WireError::Corrupt("offset stride"));
             }
             o_prev = o_next;

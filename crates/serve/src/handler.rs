@@ -7,12 +7,12 @@
 //! integration test mirrors its examples verbatim.
 
 use crate::http::{Method, Request, Response};
+use crate::render;
 use crate::source::{mode_eps, Source};
 use crate::stats::{Endpoint, Obs, ServerStats};
 use neats_core::obs::{span_ensure, span_take, stage, Stage, STAGE_COUNT};
 use neats_ingest::Ingestor;
 use neats_store::StoreError;
-use std::io::Write as _;
 use std::time::Instant;
 
 /// Routes one parsed request, recording latency and error counters for the
@@ -159,8 +159,9 @@ fn debug_requests_json(obs: &Obs) -> Response {
 
 /// `GET /q/<series>?idx=K | idx=A..B | t=T | t=A..B`.
 fn single_query(src: &Source, series: &str, query: &str) -> Response {
-    match run_query(src, series, query) {
-        Ok((body, _)) => Response::text(body),
+    let mut body = Vec::new();
+    match run_query(src, series, query, &mut body) {
+        Ok(_) => Response::text(body),
         Err((status, reason)) => Response::error(status, &reason),
     }
 }
@@ -172,6 +173,9 @@ fn batch_query(src: &Source, body: &[u8]) -> Response {
         return Response::error(400, "batch body is not UTF-8");
     };
     let mut out = Vec::new();
+    // A line's payload is rendered here first: its `#i ok <lines>` frame
+    // precedes it but needs the line count. Reused across the batch.
+    let mut payload = Vec::new();
     let mut n = 0usize;
     for line in text.lines() {
         let line = line.trim();
@@ -184,22 +188,53 @@ fn batch_query(src: &Source, body: &[u8]) -> Response {
         // name is everything before the *last* space — names with spaces
         // need no escaping in batch lines.
         match line.rsplit_once(' ') {
-            Some((series, spec)) => match run_query(src, series.trim(), spec.trim()) {
-                Ok((payload, lines)) => {
-                    let _ = writeln!(out, "#{i} ok {lines}");
-                    out.extend_from_slice(&payload);
+            Some((series, spec)) => {
+                payload.clear();
+                match run_query(src, series.trim(), spec.trim(), &mut payload) {
+                    Ok(lines) => {
+                        push_ok_frame(&mut out, i, lines);
+                        out.extend_from_slice(&payload);
+                    }
+                    Err((status, reason)) => push_err_frame(&mut out, i, status, &reason),
                 }
-                Err((status, reason)) => {
-                    let _ = writeln!(out, "#{i} err {status} {reason}");
-                }
-            },
-            None => {
-                let _ = writeln!(out, "#{i} err 400 malformed query line (want: <series> <spec>)");
             }
+            None => push_err_frame(
+                &mut out,
+                i,
+                400,
+                "malformed query line (want: <series> <spec>)",
+            ),
         }
     }
-    let _ = writeln!(out, "#done {n}");
+    push_done_frame(&mut out, n);
     Response::text(out)
+}
+
+/// Appends a `#i ok <count>` frame line.
+fn push_ok_frame(out: &mut Vec<u8>, i: usize, count: usize) {
+    out.push(b'#');
+    render::push_u64(out, i as u64);
+    out.extend_from_slice(b" ok ");
+    render::push_u64(out, count as u64);
+    out.push(b'\n');
+}
+
+/// Appends a `#i err <status> <reason>` frame line.
+fn push_err_frame(out: &mut Vec<u8>, i: usize, status: u16, reason: &str) {
+    out.push(b'#');
+    render::push_u64(out, i as u64);
+    out.extend_from_slice(b" err ");
+    render::push_u64(out, u64::from(status));
+    out.push(b' ');
+    out.extend_from_slice(reason.as_bytes());
+    out.push(b'\n');
+}
+
+/// Appends the closing `#done <frames>` line.
+fn push_done_frame(out: &mut Vec<u8>, n: usize) {
+    out.extend_from_slice(b"#done ");
+    render::push_u64(out, n as u64);
+    out.push(b'\n');
 }
 
 /// `POST /write` — one point per line: `<series> <timestamp> <value>`.
@@ -248,16 +283,15 @@ fn write_batch(src: &Source, body: &[u8]) -> Response {
                 if let Some(batch) = cur.take() {
                     flush_write_batch(ing, batch, &mut out, &mut n);
                 }
-                let i = n;
+                push_err_frame(&mut out, n, 400, &reason);
                 n += 1;
-                let _ = writeln!(out, "#{i} err 400 {reason}");
             }
         }
     }
     if let Some(batch) = cur.take() {
         flush_write_batch(ing, batch, &mut out, &mut n);
     }
-    let _ = writeln!(out, "#done {n}");
+    push_done_frame(&mut out, n);
     Response::text(out)
 }
 
@@ -287,28 +321,42 @@ fn flush_write_batch(
     let i = *n;
     *n += 1;
     match ing.append(&series, &stamps, &values) {
-        Ok(()) => {
-            let _ = writeln!(out, "#{i} ok {}", stamps.len());
-        }
+        Ok(()) => push_ok_frame(out, i, stamps.len()),
         Err(e) => {
             let (status, reason) = store_err(e);
-            let _ = writeln!(out, "#{i} err {status} {reason}");
+            push_err_frame(out, i, status, &reason);
         }
     }
 }
 
 /// Runs one query spec (`idx=K`, `idx=A..B`, `t=T`, `t=A..B`) against
-/// `series`, returning the rendered payload and its line count, or the
-/// status + reason it fails with.
+/// `series`, rendering the payload onto `out` and returning its line
+/// count, or the status + reason it fails with. On failure — including a
+/// segment that fails validation part-way through a range — `out` is
+/// truncated back to its length on entry, so no partial payload leaks.
 pub(crate) fn run_query(
     src: &Source,
     series: &str,
     spec: &str,
-) -> Result<(Vec<u8>, usize), (u16, String)> {
+    out: &mut Vec<u8>,
+) -> Result<usize, (u16, String)> {
+    let entry_len = out.len();
+    let result = render_query(src, series, spec, out);
+    if result.is_err() {
+        out.truncate(entry_len);
+    }
+    result
+}
+
+fn render_query(
+    src: &Source,
+    series: &str,
+    spec: &str,
+    out: &mut Vec<u8>,
+) -> Result<usize, (u16, String)> {
     let (key, val) = spec
         .split_once('=')
         .ok_or_else(|| (400u16, format!("malformed query spec {spec:?} (want idx=… or t=…)")))?;
-    let mut body = Vec::new();
     let mut lines = 0usize;
     match key {
         "idx" => {
@@ -316,13 +364,9 @@ pub(crate) fn run_query(
                 let a = parse_num(a, "range start")?;
                 let b = parse_num(b, "range end")?;
                 src.range_chunks(series, a..b, |chunk| {
-                    // Rendered straight from the zero-copy segment
-                    // views: the decoded-value buffer stays one segment
-                    // long (the text body still accumulates in full for
-                    // Content-Length framing).
                     let _render = stage(Stage::Render);
-                    for v in chunk {
-                        let _ = writeln!(body, "{v}");
+                    for &v in chunk {
+                        render::push_value_line(out, v);
                     }
                     lines += chunk.len();
                 })
@@ -330,7 +374,7 @@ pub(crate) fn run_query(
             } else {
                 let k = parse_num(val, "index")?;
                 let v = src.get(series, k).map_err(store_err)?;
-                let _ = writeln!(body, "{v}");
+                render::push_value_line(out, v);
                 lines = 1;
             }
         }
@@ -340,8 +384,8 @@ pub(crate) fn run_query(
                 let b = parse_num(b, "time range end")?;
                 src.range_by_time_chunks(series, a, b, |chunk| {
                     let _render = stage(Stage::Render);
-                    for (t, v) in chunk {
-                        let _ = writeln!(body, "{t},{v}");
+                    for &(t, v) in chunk {
+                        render::push_pair_line(out, t, v);
                     }
                     lines += chunk.len();
                 })
@@ -350,7 +394,7 @@ pub(crate) fn run_query(
                 let t = parse_num(val, "timestamp")?;
                 match src.at_time(series, t).map_err(store_err)? {
                     Some(v) => {
-                        let _ = writeln!(body, "{v}");
+                        render::push_value_line(out, v);
                         lines = 1;
                     }
                     None => return Err((404, format!("no sample at timestamp {t}"))),
@@ -359,7 +403,7 @@ pub(crate) fn run_query(
         }
         other => return Err((400, format!("unknown query key {other:?} (want idx or t)"))),
     }
-    Ok((body, lines))
+    Ok(lines)
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, (u16, String)> {
@@ -522,6 +566,13 @@ mod tests {
         Arc::new(Store::open(w.finish().unwrap()).unwrap())
     }
 
+    /// Runs one query spec into a fresh buffer.
+    fn query(src: &Source, series: &str, spec: &str) -> Result<(Vec<u8>, usize), (u16, String)> {
+        let mut body = Vec::new();
+        let lines = run_query(src, series, spec, &mut body)?;
+        Ok((body, lines))
+    }
+
     fn get(path: &str, query: &str) -> Request {
         Request {
             method: Method::Get,
@@ -548,14 +599,14 @@ mod tests {
     fn query_grammar_answers_match_store() {
         let store = demo_store();
         let src = Source::from(Arc::clone(&store));
-        let (body, lines) = run_query(&src, "cpu", "idx=7").unwrap();
+        let (body, lines) = query(&src, "cpu", "idx=7").unwrap();
         assert_eq!(lines, 1);
         assert_eq!(
             String::from_utf8(body).unwrap().trim().parse::<i64>().unwrap(),
             store.get("cpu", 7).unwrap()
         );
 
-        let (body, lines) = run_query(&src, "cpu", "idx=10..200").unwrap();
+        let (body, lines) = query(&src, "cpu", "idx=10..200").unwrap();
         assert_eq!(lines, 190);
         let got: Vec<i64> = String::from_utf8(body)
             .unwrap()
@@ -567,13 +618,13 @@ mod tests {
         assert_eq!(got, want);
 
         let t = store.timestamp("cpu", 42).unwrap();
-        let (body, _) = run_query(&src, "cpu", &format!("t={t}")).unwrap();
+        let (body, _) = query(&src, "cpu", &format!("t={t}")).unwrap();
         assert_eq!(
             String::from_utf8(body).unwrap().trim().parse::<i64>().unwrap(),
             store.get("cpu", 42).unwrap()
         );
 
-        let (body, lines) = run_query(&src, "cpu", "t=1000..1300").unwrap();
+        let (body, lines) = query(&src, "cpu", "t=1000..1300").unwrap();
         let mut want = Vec::new();
         store.range_by_time("cpu", 1000, 1300, &mut want).unwrap();
         assert_eq!(lines, want.len());
@@ -591,17 +642,40 @@ mod tests {
     #[test]
     fn query_grammar_statuses() {
         let src = Source::from(demo_store());
-        assert_eq!(run_query(&src, "nope", "idx=0").unwrap_err().0, 404);
-        assert_eq!(run_query(&src, "cpu", "idx=99999").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx=9..2").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "t=1").unwrap_err().0, 404); // gap
-        assert_eq!(run_query(&src, "cpu", "frob=1").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx").unwrap_err().0, 400);
-        assert_eq!(run_query(&src, "cpu", "idx=banana").unwrap_err().0, 400);
+        assert_eq!(query(&src, "nope", "idx=0").unwrap_err().0, 404);
+        assert_eq!(query(&src, "cpu", "idx=99999").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx=9..2").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "t=1").unwrap_err().0, 404); // gap
+        assert_eq!(query(&src, "cpu", "frob=1").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx").unwrap_err().0, 400);
+        assert_eq!(query(&src, "cpu", "idx=banana").unwrap_err().0, 400);
         // An inverted time range is simply empty, like range_by_time.
-        let (body, lines) = run_query(&src, "cpu", "t=300..200").unwrap();
+        let (body, lines) = query(&src, "cpu", "t=300..200").unwrap();
         assert!(body.is_empty());
         assert_eq!(lines, 0);
+    }
+
+    #[test]
+    fn failed_range_truncates_to_entry_length() {
+        // Flip a byte in the value frame of segment 3 of 8 (a pack is a
+        // 16-byte header, then each segment's frame and timestamp blob).
+        let clean = demo_store();
+        let segments = clean.series("cpu").unwrap().segments();
+        let frame_start = 16 + segments[..3].iter().map(|m| m.stored_bytes()).sum::<usize>();
+        let mut pack = clean.as_bytes().to_vec();
+        pack[frame_start + 8] ^= 0x20;
+        let src = Source::from(Arc::new(Store::open(pack).unwrap()));
+        // Segments 0..3 render before segment 3 fails validation; none of
+        // it may stay behind, nor may the caller's earlier bytes go.
+        for spec in ["idx=10..400", "t=1000..2400"] {
+            let mut out = b"#0 ok 1\n5\n".to_vec();
+            let err = run_query(&src, "cpu", spec, &mut out).unwrap_err();
+            assert_eq!(err.0, 503, "{spec}: {err:?}");
+            assert_eq!(out, b"#0 ok 1\n5\n", "{spec}");
+        }
+        // The segments before it still answer.
+        let mut out = Vec::new();
+        assert_eq!(run_query(&src, "cpu", "idx=0..192", &mut out), Ok(192));
     }
 
     #[test]
@@ -748,9 +822,9 @@ mod tests {
         assert!(text.ends_with("#done 4\n"), "{text}");
 
         // The accepted points serve immediately through the query grammar.
-        let (body, _) = run_query(&src, "cpu", "idx=0..2").unwrap();
+        let (body, _) = query(&src, "cpu", "idx=0..2").unwrap();
         assert_eq!(String::from_utf8(body).unwrap(), "5\n6\n");
-        let (body, _) = run_query(&src, "mem", "t=500").unwrap();
+        let (body, _) = query(&src, "mem", "t=500").unwrap();
         assert_eq!(String::from_utf8(body).unwrap(), "-3\n");
 
         // /series and /stats reflect the live state.

@@ -11,6 +11,7 @@
 //! junk and asserts the connection always ends in a clean error response or
 //! close.
 
+use crate::render;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -501,22 +502,26 @@ pub fn reason_phrase(status: u16) -> &'static str {
     }
 }
 
-/// The serialized response head. `keep_alive` controls the `Connection`
-/// header; the caller decides whether to actually close.
-fn response_head(resp: &Response, keep_alive: bool) -> String {
-    let retry_after = match resp.retry_after {
-        Some(secs) => format!("Retry-After: {secs}\r\n"),
-        None => String::new(),
-    };
-    format!(
-        "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}Connection: {}\r\n\r\n",
-        resp.status,
-        reason_phrase(resp.status),
-        resp.content_type,
-        resp.body.len(),
-        retry_after,
-        if keep_alive { "keep-alive" } else { "close" },
-    )
+/// Appends the serialized response head to `out`. `keep_alive` controls
+/// the `Connection` header; the caller decides whether to actually close.
+fn response_head(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
+    out.extend_from_slice(b"HTTP/1.1 ");
+    render::push_u64(out, u64::from(resp.status));
+    out.push(b' ');
+    out.extend_from_slice(reason_phrase(resp.status).as_bytes());
+    out.extend_from_slice(b"\r\nContent-Type: ");
+    out.extend_from_slice(resp.content_type.as_bytes());
+    out.extend_from_slice(b"\r\nContent-Length: ");
+    render::push_u64(out, resp.body.len() as u64);
+    if let Some(secs) = resp.retry_after {
+        out.extend_from_slice(b"\r\nRetry-After: ");
+        render::push_u64(out, u64::from(secs));
+    }
+    out.extend_from_slice(if keep_alive {
+        b"\r\nConnection: keep-alive\r\n\r\n"
+    } else {
+        b"\r\nConnection: close\r\n\r\n"
+    });
 }
 
 /// Serializes `resp` onto `stream`, returning the bytes written (head +
@@ -530,8 +535,9 @@ pub fn write_response(
 ) -> std::io::Result<usize> {
     // Two writes instead of concatenating — a large range body would
     // otherwise be copied a second time on every response.
-    let head = response_head(resp, keep_alive);
-    stream.write_all(head.as_bytes())?;
+    let mut head = Vec::with_capacity(128);
+    response_head(&mut head, resp, keep_alive);
+    stream.write_all(&head)?;
     stream.write_all(&resp.body)?;
     stream.flush()?;
     Ok(head.len() + resp.body.len())
@@ -540,7 +546,7 @@ pub fn write_response(
 /// Appends the serialized `resp` to `out` — the reactor's per-connection
 /// write buffer, flushed by write-readiness instead of blocking writes.
 pub(crate) fn append_response(out: &mut Vec<u8>, resp: &Response, keep_alive: bool) {
-    out.extend_from_slice(response_head(resp, keep_alive).as_bytes());
+    response_head(out, resp, keep_alive);
     out.extend_from_slice(&resp.body);
 }
 
@@ -612,6 +618,24 @@ mod tests {
         assert_eq!(percent_decode("/q/cpu%201").unwrap(), "/q/cpu 1");
         assert_eq!(percent_decode("/plain").unwrap(), "/plain");
         assert!(percent_decode("/%4").is_err());
+    }
+
+    #[test]
+    fn response_head_bytes() {
+        let mut out = Vec::new();
+        append_response(&mut out, &Response::text(b"1\n-2\n".to_vec()), true);
+        assert_eq!(
+            out,
+            b"HTTP/1.1 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\n\
+              Content-Length: 5\r\nConnection: keep-alive\r\n\r\n1\n-2\n"
+        );
+        let mut out = Vec::new();
+        append_response(&mut out, &Response::error(503, "busy"), false);
+        assert_eq!(
+            out,
+            b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain; charset=utf-8\r\n\
+              Content-Length: 5\r\nRetry-After: 1\r\nConnection: close\r\n\r\nbusy\n"
+        );
     }
 
     #[test]

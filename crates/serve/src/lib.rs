@@ -121,6 +121,7 @@
 mod handler;
 mod http;
 mod reactor;
+mod render;
 mod server;
 mod source;
 mod stats;

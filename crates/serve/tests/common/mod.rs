@@ -28,18 +28,65 @@ pub fn demo_data() -> Vec<(String, Vec<u64>, Vec<i64>)> {
     out
 }
 
-/// Builds the demo pack (segment size 128, so every series stitches across
-/// several segments) and opens it as a `Store`.
-pub fn demo_store() -> Arc<Store> {
+/// A series of edge-case numbers for byte-exact rendering checks: `i64`
+/// extremes, zero, and both signs of every `10^k − 1`, `10^k` and
+/// `10^k + 1`, under timestamps that cross from 19 to 20 digits. It fills
+/// three 128-point segments: non-negative edges, negative edges, then
+/// every edge of magnitude ≤ 10^18 + 1 with both signs mixed. The codec
+/// cannot yet compress a segment whose values span 2^63 or more (it
+/// overflows; ROADMAP item 5), so `i64::MIN` and `i64::MAX` sit in
+/// segments of one sign.
+pub fn extreme_data() -> (String, Vec<u64>, Vec<i64>) {
+    let mut small = vec![0i64, 1];
+    let mut p = 10i64;
+    loop {
+        small.extend([p - 1, p, p + 1]);
+        match p.checked_mul(10) {
+            Some(next) => p = next,
+            None => break,
+        }
+    }
+    let mut positive = small.clone();
+    positive.extend([i64::MAX, i64::MAX - 1]);
+    let mut negative: Vec<i64> = small[1..].iter().map(|v| -v).collect();
+    negative.extend([i64::MIN, i64::MIN + 1]);
+    let mixed = small.iter().flat_map(|&v| [v, -v]);
+    let mut values: Vec<i64> = positive.iter().cycle().take(128).copied().collect();
+    values.extend(negative.iter().cycle().take(128));
+    values.extend(mixed);
+    let base = 10_000_000_000_000_000_000u64 - 120;
+    let stamps = (0..values.len() as u64).map(|k| base + k * 2).collect();
+    ("edge".to_string(), stamps, values)
+}
+
+/// Builds a pack of `data` (segment size 128, so every series stitches
+/// across several segments) and opens it as a `Store`.
+pub fn store_of(data: &[(String, Vec<u64>, Vec<i64>)]) -> Arc<Store> {
     let mut w = StoreWriter::new(StoreConfig {
         segment_points: 128,
         mode: StoreMode::Lossless,
         ..StoreConfig::default()
     });
-    for (name, stamps, values) in demo_data() {
-        w.ingest(&name, &stamps, &values).unwrap();
+    for (name, stamps, values) in data {
+        w.ingest(name, stamps, values).unwrap();
     }
     Arc::new(Store::open(w.finish().unwrap()).unwrap())
+}
+
+/// Builds the demo pack (see [`store_of`]) and opens it as a `Store`.
+pub fn demo_store() -> Arc<Store> {
+    store_of(&demo_data())
+}
+
+/// The expected body of an `idx=A..B` or point answer: one value per line,
+/// rendered by `format!`.
+pub fn value_lines(values: &[i64]) -> String {
+    values.iter().map(|v| format!("{v}\n")).collect()
+}
+
+/// The expected body of a `t=A..B` answer: `t,v` per line.
+pub fn pair_lines(pairs: &[(u64, i64)]) -> String {
+    pairs.iter().map(|(t, v)| format!("{t},{v}\n")).collect()
 }
 
 /// One parsed HTTP response.

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{demo_data, demo_store, Client};
+use common::{demo_data, demo_store, extreme_data, pair_lines, store_of, value_lines, Client};
 use neats_serve::{ServeConfig, Server, ServerHandle};
 use neats_store::Store;
 use std::sync::Arc;
@@ -34,19 +34,24 @@ fn mix(mut x: u64) -> impl FnMut(u64) -> u64 {
 }
 
 /// The acceptance-criterion test: ≥4 client threads race point / range /
-/// time / batch queries over the wire and every answer must be
-/// bit-identical to the direct `Store` call.
+/// time / batch queries over the wire and every body must be byte-identical
+/// to the direct `Store` answer rendered by `format!` — a `+5` or `05` that
+/// parses back to the same number still fails. The edge-value series puts
+/// `i64` extremes and every power-of-ten boundary through each query kind.
 #[test]
 fn concurrent_clients_match_store_oracle() {
-    let store = demo_store();
-    let data = demo_data();
+    let mut data = demo_data();
+    data.push(extreme_data());
+    let store = store_of(&data);
     let (handle, running) = start(Arc::clone(&store), 4);
     let addr = handle.addr();
+    let missing = store.get("missing", 0).unwrap_err().to_string();
 
     std::thread::scope(|s| {
         for tid in 0..6u64 {
             let store = &store;
             let data = &data;
+            let missing = &missing;
             s.spawn(move || {
                 let mut rng = mix(0xfeed_f00d ^ (tid + 1));
                 let mut client = Client::connect(addr);
@@ -61,8 +66,8 @@ fn concurrent_clients_match_store_oracle() {
                             let r = client.get(&format!("/q/{url_name}?idx={k}"));
                             assert_eq!(r.status, 200, "{}", r.body);
                             assert_eq!(
-                                r.body.trim().parse::<i64>().unwrap(),
-                                store.get(name, k).unwrap(),
+                                r.body,
+                                value_lines(&[store.get(name, k).unwrap()]),
                                 "[{tid}] {name}[{k}]"
                             );
                         }
@@ -72,11 +77,9 @@ fn concurrent_clients_match_store_oracle() {
                             let b = a + 1 + rng((n as usize - a - 1).max(1) as u64) as usize;
                             let r = client.get(&format!("/q/{url_name}?idx={a}..{b}"));
                             assert_eq!(r.status, 200, "{}", r.body);
-                            let got: Vec<i64> =
-                                r.body.lines().map(|l| l.parse().unwrap()).collect();
                             let mut want = Vec::new();
                             store.range(name, a..b, &mut want).unwrap();
-                            assert_eq!(got, want, "[{tid}] {name}[{a}..{b}]");
+                            assert_eq!(r.body, value_lines(&want), "[{tid}] {name}[{a}..{b}]");
                         }
                         // Time queries: exact-at-time point and time range.
                         2 => {
@@ -85,24 +88,16 @@ fn concurrent_clients_match_store_oracle() {
                             let r = client.get(&format!("/q/{url_name}?t={t}"));
                             assert_eq!(r.status, 200, "{}", r.body);
                             assert_eq!(
-                                r.body.trim().parse::<i64>().unwrap(),
-                                store.at_time(name, t).unwrap().unwrap()
+                                r.body,
+                                value_lines(&[store.at_time(name, t).unwrap().unwrap()])
                             );
                             let lo = stamps[rng(n / 2) as usize];
                             let hi = lo + rng(2_000) + 1;
                             let r = client.get(&format!("/q/{url_name}?t={lo}..{hi}"));
                             assert_eq!(r.status, 200, "{}", r.body);
-                            let got: Vec<(u64, i64)> = r
-                                .body
-                                .lines()
-                                .map(|l| {
-                                    let (t, v) = l.split_once(',').unwrap();
-                                    (t.parse().unwrap(), v.parse().unwrap())
-                                })
-                                .collect();
                             let mut want = Vec::new();
                             store.range_by_time(name, lo, hi, &mut want).unwrap();
-                            assert_eq!(got, want, "[{tid}] {name} t={lo}..{hi}");
+                            assert_eq!(r.body, pair_lines(&want), "[{tid}] {name} t={lo}..{hi}");
                         }
                         // Batched POST: several queries in one frame.
                         _ => {
@@ -115,24 +110,15 @@ fn concurrent_clients_match_store_oracle() {
                             );
                             let r = client.post_batch(&body);
                             assert_eq!(r.status, 200, "{}", r.body);
-                            let text = &r.body;
-                            assert!(
-                                text.starts_with(&format!(
-                                    "#0 ok 1\n{}\n",
-                                    store.get(name, k1).unwrap()
-                                )),
-                                "[{tid}] {text}"
+                            let mut range = Vec::new();
+                            store.range(name, a..a + 5, &mut range).unwrap();
+                            let want = format!(
+                                "#0 ok 1\n{}#1 err 404 {missing}\n#2 ok 5\n{}#3 ok 1\n{}#done 4\n",
+                                value_lines(&[store.get(name, k1).unwrap()]),
+                                value_lines(&range),
+                                value_lines(&[store.get(name, k2).unwrap()]),
                             );
-                            assert!(text.contains("#1 err 404"), "[{tid}] {text}");
-                            let mut want = Vec::new();
-                            store.range(name, a..a + 5, &mut want).unwrap();
-                            let want_lines: String =
-                                want.iter().map(|v| format!("{v}\n")).collect();
-                            assert!(
-                                text.contains(&format!("#2 ok 5\n{want_lines}")),
-                                "[{tid}] {text}"
-                            );
-                            assert!(text.ends_with("#done 4\n"), "[{tid}] {text}");
+                            assert_eq!(r.body, want, "[{tid}] {body}");
                         }
                     }
                 }
@@ -140,6 +126,83 @@ fn concurrent_clients_match_store_oracle() {
         }
     });
 
+    stop(handle, running);
+}
+
+/// Every query kind over the whole edge-value series, byte for byte: the
+/// full `idx=` range, each point by index and by time, the full `t=` range,
+/// and one batch holding all of them.
+#[test]
+fn edge_values_render_byte_exact() {
+    let (name, stamps, values) = extreme_data();
+    let store = store_of(&[(name.clone(), stamps.clone(), values.clone())]);
+    let (handle, running) = start(store, 2);
+    let mut client = Client::connect(handle.addr());
+    let n = values.len();
+
+    let r = client.get(&format!("/q/{name}?idx=0..{n}"));
+    assert_eq!((r.status, r.body), (200, value_lines(&values)));
+    let pairs: Vec<(u64, i64)> = stamps.iter().copied().zip(values.iter().copied()).collect();
+    let r = client.get(&format!("/q/{name}?t={}..{}", stamps[0], stamps[n - 1]));
+    assert_eq!((r.status, r.body), (200, pair_lines(&pairs)));
+    let mut batch = format!("{name} idx=0..{n}\n{name} t={}..{}\n", stamps[0], stamps[n - 1]);
+    let mut want = format!("#0 ok {n}\n{}#1 ok {n}\n{}", value_lines(&values), pair_lines(&pairs));
+    for (k, (&t, &v)) in stamps.iter().zip(&values).enumerate() {
+        let r = client.get(&format!("/q/{name}?idx={k}"));
+        assert_eq!((r.status, r.body), (200, format!("{v}\n")), "idx={k}");
+        let r = client.get(&format!("/q/{name}?t={t}"));
+        assert_eq!((r.status, r.body), (200, format!("{v}\n")), "t={t}");
+        batch.push_str(&format!("{name} idx={k}\n"));
+        want.push_str(&format!("#{} ok 1\n{v}\n", k + 2));
+    }
+    want.push_str(&format!("#done {}\n", n + 2));
+    let r = client.post_batch(&batch);
+    assert_eq!(r.status, 200);
+    assert_eq!(r.body, want);
+
+    stop(handle, running);
+}
+
+/// A range that fails part-way — its third segment has a flipped byte in
+/// its value frame, and segments are validated lazily — must leave no
+/// partial output: the values already rendered from the segments before it
+/// are dropped, a `GET` answers only the quarantine 503, and a batch line
+/// answers only its `#i err 503` frame, after which the next line is
+/// answered as usual.
+#[test]
+fn mid_range_failure_leaves_no_partial_output() {
+    let values: Vec<i64> = (0..512).map(|k: i64| k * k % 1_009 - 300).collect();
+    let stamps: Vec<u64> = (0..512).map(|k| 5_000 + k * 10).collect();
+    let clean = store_of(&[("s".to_string(), stamps, values.clone())]);
+    let segments = clean.series("s").unwrap().segments();
+    assert_eq!(segments.len(), 4);
+    // A pack is a 16-byte header, then each segment's value frame followed
+    // by its timestamp blob, in order.
+    let frame_start = 16 + segments[0].stored_bytes() + segments[1].stored_bytes();
+    let mut pack = clean.as_bytes().to_vec();
+    pack[frame_start + 8] ^= 0x20;
+    let reason = Store::open(pack.clone())
+        .unwrap()
+        .range("s", 0..512, &mut Vec::new())
+        .unwrap_err()
+        .to_string();
+    assert!(reason.contains("quarantined"), "{reason}");
+
+    let (handle, running) = start(Arc::new(Store::open(pack).unwrap()), 2);
+    let mut client = Client::connect(handle.addr());
+    let r = client.get("/q/s?idx=100..400");
+    assert_eq!((r.status, r.body), (503, format!("{reason}\n")));
+    let r = client.post_batch("s idx=100..400\ns idx=0..3\n");
+    assert_eq!(r.status, 200);
+    assert_eq!(
+        r.body,
+        format!("#0 err 503 {reason}\n#1 ok 3\n{}#done 2\n", value_lines(&values[..3]))
+    );
+    // Only the third segment is bad: the ones on either side still serve.
+    let r = client.get("/q/s?idx=0..256");
+    assert_eq!((r.status, r.body), (200, value_lines(&values[..256])));
+    let r = client.get("/q/s?idx=384..512");
+    assert_eq!((r.status, r.body), (200, value_lines(&values[384..])));
     stop(handle, running);
 }
 
