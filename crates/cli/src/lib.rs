@@ -805,10 +805,14 @@ pub fn run(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), CliError> {
                 },
                 threads,
             };
-            let mut writer = if append {
-                let existing = std::fs::read(&output).map_err(|e| {
+            let existing = if append {
+                std::fs::read(&output).map_err(|e| {
                     CliError(format!("{output}: {e} (--append needs an existing pack)"))
-                })?;
+                })?
+            } else {
+                Vec::new()
+            };
+            let mut writer = if append {
                 StoreWriter::append_to(&existing, cfg)
                     .map_err(|e| CliError(format!("{output}: {e}")))?
             } else {

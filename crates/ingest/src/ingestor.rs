@@ -600,7 +600,10 @@ impl Ingestor {
         }
 
         // Build the successor pack: old pack verbatim, minus tombstones,
-        // plus every head chunk as a pre-compressed segment.
+        // plus every head chunk as a pre-compressed segment. It is
+        // assembled once, at its exact size, straight into the buffer the
+        // new `Store` serves from: a seal holds the old pack plus one
+        // successor.
         let mut sw = StoreWriter::append_to(store.as_bytes(), self.store_cfg())?;
         for name in &tombstones {
             sw.delete_series(name)?;
@@ -610,7 +613,7 @@ impl Ingestor {
                 sw.append_compressed_segment(name, &frame, &stamps)?;
             }
         }
-        let pack = sw.finish()?;
+        let pack = sw.finish_shared()?;
 
         let new_epoch = epoch + 1;
         let pack_file = manifest::pack_name(new_epoch);

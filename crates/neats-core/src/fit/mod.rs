@@ -3,7 +3,9 @@
 //! [`longest_fragment`] finds, for a given function kind and error bound ε,
 //! the longest fragment starting at a given index that admits an
 //! ε-approximation — in optimal O(fragment length) time via the
-//! [`stab::StabbingLine`] reduction.
+//! [`stab::StabbingLine`] reduction. [`span_end_in`] is the same fit
+//! returning only the fragment end, over a reused `StabbingLine`: the form
+//! the partitioner runs at every tiling position.
 
 pub mod kinds;
 pub mod stab;
@@ -105,14 +107,14 @@ impl<'a> FitView<'a> {
         self.shift
     }
 
-    /// The (possibly shifted) value `kind`'s transform reads at index `k`.
+    /// The (possibly shifted) values `kind`'s transform reads.
     #[inline]
-    fn y(&self, kind: Kind, k: usize) -> f64 {
+    fn ys(&self, kind: Kind) -> &[f64] {
         if kind.log_domain() {
             debug_assert!(!self.shifted.is_empty(), "view built without the log-domain plane");
-            self.shifted[k]
+            &self.shifted
         } else {
-            self.plain[k]
+            &self.plain
         }
     }
 }
@@ -136,12 +138,19 @@ pub fn model_value(frag: &Fragment, k: usize, shift: i64) -> i64 {
 }
 
 /// Floors a model output to i64 — the one canonical float→integer step
-/// shared by encoding and every decode path. Rust's saturating `as` cast
-/// makes this total (NaN → 0, ±∞ → MIN/MAX) and branchless, which lets the
-/// decompression loop vectorise.
+/// shared by encoding and every decode path. Equal to `f.floor() as i64`
+/// for every f64 (NaN → 0, ±∞ and out-of-range values saturate to
+/// MIN/MAX), but without `f64::floor`, which on baseline x86-64 (no SSE4.1
+/// `roundsd`) is a libm call per value.
+///
+/// The saturating cast truncates towards zero; stepping down by one when
+/// the truncation landed above `f` (negative non-integers) gives the
+/// floor. The comparison is false for NaN, and the subtraction saturates
+/// at `i64::MIN` for values below −2^63.
 #[inline]
 pub fn floor_to_i64(f: f64) -> i64 {
-    f.floor() as i64
+    let t = f as i64;
+    t.saturating_sub(((t as f64) > f) as i64)
 }
 
 /// Estimated integer error of the f64 round trip every lossy fitter in the
@@ -199,74 +208,129 @@ pub fn longest_fragment(
     eps: u64,
     shift: i64,
 ) -> Option<Fragment> {
-    longest_fragment_impl(values.len(), |k| shifted(kind, values[k], shift), start, kind, eps)
+    let y_at = |k: usize| shifted(kind, values[k], shift);
+    let mut line = StabbingLine::new();
+    let end = fit_span(values.len(), y_at, start, kind, eps, &mut line)?;
+    Some(finish_fragment(&line, y_at(start), start, end, kind))
 }
 
 /// [`longest_fragment`] reading from a shared [`FitView`] instead of
-/// converting values on the fly — the form the two-stage partitioner uses so
-/// the `i64 → f64` (and shift) work is done once per series, not once per
-/// `(f, ε)` pair. Bit-identical results to [`longest_fragment`].
+/// converting values on the fly — the form the two-stage partitioner's
+/// backtrack uses to refit its winning edges. Bit-identical results to
+/// [`longest_fragment`].
 pub fn longest_fragment_in(
     view: &FitView<'_>,
     start: usize,
     kind: Kind,
     eps: u64,
 ) -> Option<Fragment> {
-    longest_fragment_impl(view.len(), |k| view.y(kind, k), start, kind, eps)
+    let mut line = StabbingLine::new();
+    let end = span_end_in(view, start, kind, eps, &mut line)?;
+    Some(finish_fragment(&line, view.ys(kind)[start], start, end, kind))
 }
 
-/// Shared core of the two entry points above; `y_at(k)` yields the
-/// (possibly shifted) f64 value at index `k`.
-fn longest_fragment_impl(
+/// The end of the fragment [`longest_fragment_in`] would return — the
+/// partitioner's stage-1 fit, which needs spans only.
+///
+/// `line` is scratch state: it is reset on entry and left holding the
+/// fragment's constraints, so one instance serves every fit of a pair
+/// without allocating per fragment. No parameters are computed.
+#[inline]
+pub fn span_end_in(
+    view: &FitView<'_>,
+    start: usize,
+    kind: Kind,
+    eps: u64,
+    line: &mut StabbingLine,
+) -> Option<usize> {
+    let ys = view.ys(kind);
+    fit_span(ys.len(), |k| ys[k], start, kind, eps, line)
+}
+
+/// Parameters of the fragment `[start, end)` whose constraints `line`
+/// holds; `y0` is the (possibly shifted) value at `start`.
+fn finish_fragment(line: &StabbingLine, y0: f64, start: usize, end: usize, kind: Kind) -> Fragment {
+    let params = if kind.anchored() {
+        let (m, b) = match line.solution() {
+            Some(l) => (l.slope, l.intercept),
+            None => (0.0, 0.0), // single-point fragment: constant anchor
+        };
+        kind.finish_params(m, b, y0)
+    } else {
+        let l = line.solution().expect("at least one segment accepted");
+        Params { m: l.slope, b: l.intercept, extra: 0.0 }
+    };
+    Fragment { kind, params, start, end, origin: start }
+}
+
+/// The one fit loop (Theorem 1): feeds the transformed constraints of
+/// `start, start + 1, …` into `line` until one is infeasible or undefined,
+/// and returns the fragment end — `None` when the transform is undefined at
+/// `start` itself. `y_at(k)` yields the (possibly shifted) value at `k`.
+///
+/// Dispatches once per fragment to a loop specialised for `kind`, so the
+/// per-point work carries no kind match.
+#[inline]
+fn fit_span(
     len: usize,
     y_at: impl Fn(usize) -> f64,
     start: usize,
     kind: Kind,
     eps: u64,
-) -> Option<Fragment> {
+    line: &mut StabbingLine,
+) -> Option<usize> {
     debug_assert!(start < len);
+    line.reset();
     let epsf = eps as f64;
-    let mut line = StabbingLine::new();
-    let mut end = start;
+    macro_rules! specialise {
+        ($($k:ident),*) => {
+            match kind {
+                $(Kind::$k => fit_loop(len, y_at, start, Kind::$k, epsf, line),)*
+            }
+        };
+    }
+    specialise!(
+        Linear, Quadratic, Exponential, Sqrt, Logarithmic, Power, QuadOffset, QuadLinear,
+        CubicLinear, CubicQuad, Gaussian
+    )
+}
 
+/// Body of [`fit_span`], inlined into each arm with `kind` a constant.
+#[inline(always)]
+fn fit_loop(
+    len: usize,
+    y_at: impl Fn(usize) -> f64,
+    start: usize,
+    kind: Kind,
+    epsf: f64,
+    line: &mut StabbingLine,
+) -> Option<usize> {
     if kind.anchored() {
         let y0 = y_at(start);
         if kind.log_domain() && y0 <= 0.0 {
             return None;
         }
-        end = start + 1; // the anchor itself is always represented exactly
+        let mut end = start + 1; // the anchor itself is always represented exactly
         while end < len {
             let u = (end - start + 1) as f64;
-            let y = y_at(end);
-            let Some((t, lo, hi)) = kind.transform_anchored(u, y, y0, epsf) else { break };
+            let Some((t, lo, hi)) = kind.transform_anchored(u, y_at(end), y0, epsf) else { break };
             if !line.try_add(t, lo, hi) {
                 break;
             }
             end += 1;
         }
-        let (m, b) = match line.solution() {
-            Some(l) => (l.slope, l.intercept),
-            None => (0.0, 0.0), // single-point fragment: constant anchor
-        };
-        let params = kind.finish_params(m, b, y0);
-        return Some(Fragment { kind, params, start, end, origin: start });
+        return Some(end);
     }
-
+    let mut end = start;
     while end < len {
         let u = (end - start + 1) as f64;
-        let y = y_at(end);
-        let Some((t, lo, hi)) = kind.transform(u, y, epsf) else { break };
+        let Some((t, lo, hi)) = kind.transform(u, y_at(end), epsf) else { break };
         if !line.try_add(t, lo, hi) {
             break;
         }
         end += 1;
     }
-    if end == start {
-        return None; // transform undefined at the first point
-    }
-    let l = line.solution().expect("at least one segment accepted");
-    let params = Params { m: l.slope, b: l.intercept, extra: 0.0 };
-    Some(Fragment { kind, params, start, end, origin: start })
+    (end > start).then_some(end)
 }
 
 /// Greedy piecewise approximation (Corollary 1): repeatedly take the longest
@@ -510,6 +574,76 @@ mod tests {
                     let b = longest_fragment_in(&view, start, kind, eps);
                     assert_eq!(a, b, "{kind:?} eps={eps} start={start}");
                     start = a.map_or(start + 1, |f| f.end);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn floor_to_i64_matches_floor_on_edge_values() {
+        let two63 = 9_223_372_036_854_775_808.0f64; // 2^63
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.0,
+            -1.0,
+            1.5,
+            -1.5,
+            f64::EPSILON,
+            -f64::EPSILON,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            4503599627370495.5, // 2^52 - 0.5
+            -4503599627370495.5,
+            9007199254740993.0, // rounds to 2^53
+            -9007199254740993.0,
+            two63,
+            -two63,
+            f64::from_bits(two63.to_bits() - 1), // largest f64 below 2^63
+            -f64::from_bits(two63.to_bits() - 1),
+            f64::from_bits(two63.to_bits() + 1),
+            -f64::from_bits(two63.to_bits() + 1),
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        for f in edges {
+            assert_eq!(floor_to_i64(f), f.floor() as i64, "f = {f:e} ({:#x})", f.to_bits());
+        }
+    }
+
+    mod floor_props {
+        use super::floor_to_i64;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            #[test]
+            fn matches_floor_on_random_bits(bits in any::<u64>()) {
+                // The pattern and its neighbours: integer/non-integer
+                // boundaries sit one ULP apart.
+                for b in [bits.wrapping_sub(1), bits, bits.wrapping_add(1)] {
+                    let f = f64::from_bits(b);
+                    prop_assert_eq!(floor_to_i64(f), f.floor() as i64, "bits {:#x}", b);
+                }
+            }
+
+            #[test]
+            fn matches_floor_on_moderate_magnitudes(f in -1.0e6f64..1.0e6) {
+                prop_assert_eq!(floor_to_i64(f), f.floor() as i64, "f {:e}", f);
+            }
+
+            #[test]
+            fn matches_floor_near_integers(i in any::<i64>(), frac in 0usize..4) {
+                let f = i as f64 + [0.0, 0.25, -0.25, 0.5][frac];
+                for g in [f, f64::from_bits(f.to_bits().wrapping_sub(1)), f64::from_bits(f.to_bits() + 1)] {
+                    prop_assert_eq!(floor_to_i64(g), g.floor() as i64, "f {:e}", g);
                 }
             }
         }

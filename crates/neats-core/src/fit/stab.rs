@@ -64,40 +64,46 @@ fn cross(a: Point, b: Point, c: Point) -> f64 {
     (b.t - a.t) * (c.v - a.v) - (b.v - a.v) * (c.t - a.t)
 }
 
-/// A support pair defining an extreme line: the line through `left` and
-/// `right` (left.t < right.t).
+/// An extreme line, given by its left support point and its slope towards
+/// the right support point (computed once, when the pair is formed).
 #[derive(Clone, Copy, Debug)]
 struct Support {
     left: Point,
-    right: Point,
+    slope: f64,
 }
 
 impl Support {
     #[inline]
-    fn slope(&self) -> f64 {
-        slope_between(self.left, self.right)
+    fn through(left: Point, right: Point) -> Self {
+        Self { left, slope: slope_between(left, right) }
     }
 
     #[inline]
     fn at(&self, t: f64) -> f64 {
-        self.left.v + self.slope() * (t - self.left.t)
+        self.left.v + self.slope * (t - self.left.t)
     }
 }
 
 /// Online feasibility of a stabbing line through vertical segments with
 /// strictly increasing abscissae.
+///
+/// One instance can serve any number of fragments: [`Self::reset`] empties
+/// it while keeping the hull buffers, so a fitter that reuses it allocates
+/// only when a hull outgrows every earlier one.
 #[derive(Clone, Debug)]
 pub struct StabbingLine {
-    /// Upper hull of floor points, front-trimmed by `floor_start`.
+    /// Upper hull of floor points, front-trimmed by `floor_start`. Its
+    /// first entry is always the first segment's floor.
     floor_hull: Vec<Point>,
     floor_start: usize,
-    /// Lower hull of ceiling points, front-trimmed by `ceil_start`.
+    /// Lower hull of ceiling points, front-trimmed by `ceil_start`. Its
+    /// first entry is always the first segment's ceiling.
     ceil_hull: Vec<Point>,
     ceil_start: usize,
-    line_max: Option<Support>,
-    line_min: Option<Support>,
+    /// The extreme lines; meaningful once two segments are accepted.
+    line_max: Support,
+    line_min: Support,
     count: usize,
-    first: Option<(Point, Point)>, // (floor, ceil) of the first segment
     last_t: f64,
 }
 
@@ -110,17 +116,28 @@ impl Default for StabbingLine {
 impl StabbingLine {
     /// Creates an empty instance (no segments yet; any line is feasible).
     pub fn new() -> Self {
+        let unset = Support { left: Point::new(0.0, 0.0), slope: 0.0 };
         Self {
             floor_hull: Vec::new(),
             floor_start: 0,
             ceil_hull: Vec::new(),
             ceil_start: 0,
-            line_max: None,
-            line_min: None,
+            line_max: unset,
+            line_min: unset,
             count: 0,
-            first: None,
             last_t: f64::NEG_INFINITY,
         }
+    }
+
+    /// Forgets every accepted segment, keeping the hull buffers' capacity.
+    /// Afterwards the instance behaves exactly like [`Self::new`].
+    pub fn reset(&mut self) {
+        self.floor_hull.clear();
+        self.floor_start = 0;
+        self.ceil_hull.clear();
+        self.ceil_start = 0;
+        self.count = 0;
+        self.last_t = f64::NEG_INFINITY;
     }
 
     /// Number of segments accepted so far.
@@ -142,6 +159,7 @@ impl StabbingLine {
     ///
     /// `t` must be strictly greater than the previous abscissa and
     /// `lo ≤ hi`; non-finite inputs are rejected.
+    #[inline]
     pub fn try_add(&mut self, t: f64, lo: f64, hi: f64) -> bool {
         if !(t.is_finite() && lo.is_finite() && hi.is_finite()) || lo > hi || t <= self.last_t {
             return false;
@@ -150,35 +168,31 @@ impl StabbingLine {
         let ceil = Point::new(t, hi);
         match self.count {
             0 => {
-                self.first = Some((floor, ceil));
                 self.floor_hull.push(floor);
                 self.ceil_hull.push(ceil);
             }
             1 => {
-                let (f1, c1) = self.first.expect("set at count 1");
                 // Max-slope line: from the first floor up to the new ceiling.
-                self.line_max = Some(Support { left: f1, right: ceil });
+                self.line_max = Support::through(self.floor_hull[0], ceil);
                 // Min-slope line: from the first ceiling down to the new floor.
-                self.line_min = Some(Support { left: c1, right: floor });
+                self.line_min = Support::through(self.ceil_hull[0], floor);
                 self.push_floor(floor);
                 self.push_ceil(ceil);
             }
             _ => {
-                let lmax = self.line_max.expect("set from count 2");
-                let lmin = self.line_min.expect("set from count 2");
+                let ymax = self.line_max.at(t);
+                let ymin = self.line_min.at(t);
                 // Feasibility: even the extreme lines must reach the segment.
-                if lmax.at(t) < lo || lmin.at(t) > hi {
+                if ymax < lo || ymin > hi {
                     return false;
                 }
                 // The new floor may force the min slope to rotate upwards.
-                if lmin.at(t) < lo {
-                    let anchor = self.rotate_min(floor);
-                    self.line_min = Some(Support { left: anchor, right: floor });
+                if ymin < lo {
+                    self.line_min = self.rotate_min(floor);
                 }
                 // The new ceiling may force the max slope to rotate downwards.
-                if lmax.at(t) > hi {
-                    let anchor = self.rotate_max(ceil);
-                    self.line_max = Some(Support { left: anchor, right: ceil });
+                if ymax > hi {
+                    self.line_max = self.rotate_max(ceil);
                 }
                 self.push_floor(floor);
                 self.push_ceil(ceil);
@@ -189,31 +203,50 @@ impl StabbingLine {
         true
     }
 
-    /// Finds the ceiling-hull point maximising the slope towards `p`
-    /// (the new left support of `line_min`), advancing the hull front.
-    fn rotate_min(&mut self, p: Point) -> Point {
+    /// The new `line_min` through `p`: its left support is the
+    /// ceiling-hull point maximising the slope towards `p`, found by
+    /// advancing the hull front.
+    #[inline]
+    fn rotate_min(&mut self, p: Point) -> Support {
         let hull = &self.ceil_hull;
         let mut i = self.ceil_start;
-        while i + 1 < hull.len() && slope_between(hull[i + 1], p) >= slope_between(hull[i], p) {
-            i += 1;
+        let mut slope = slope_between(hull[i], p);
+        while i + 1 < hull.len() {
+            let next = slope_between(hull[i + 1], p);
+            if next >= slope {
+                i += 1;
+                slope = next;
+            } else {
+                break;
+            }
         }
         self.ceil_start = i;
-        hull[i]
+        Support { left: hull[i], slope }
     }
 
-    /// Finds the floor-hull point minimising the slope towards `p`
-    /// (the new left support of `line_max`), advancing the hull front.
-    fn rotate_max(&mut self, p: Point) -> Point {
+    /// The new `line_max` through `p`: its left support is the floor-hull
+    /// point minimising the slope towards `p`, found by advancing the hull
+    /// front.
+    #[inline]
+    fn rotate_max(&mut self, p: Point) -> Support {
         let hull = &self.floor_hull;
         let mut i = self.floor_start;
-        while i + 1 < hull.len() && slope_between(hull[i + 1], p) <= slope_between(hull[i], p) {
-            i += 1;
+        let mut slope = slope_between(hull[i], p);
+        while i + 1 < hull.len() {
+            let next = slope_between(hull[i + 1], p);
+            if next <= slope {
+                i += 1;
+                slope = next;
+            } else {
+                break;
+            }
         }
         self.floor_start = i;
-        hull[i]
+        Support { left: hull[i], slope }
     }
 
     /// Inserts a floor point into the upper hull (clockwise turns only).
+    #[inline]
     fn push_floor(&mut self, p: Point) {
         while self.floor_hull.len() >= self.floor_start + 2 {
             let n = self.floor_hull.len();
@@ -228,6 +261,7 @@ impl StabbingLine {
 
     /// Inserts a ceiling point into the lower hull (counter-clockwise turns
     /// only).
+    #[inline]
     fn push_ceil(&mut self, p: Point) {
         while self.ceil_hull.len() >= self.ceil_start + 2 {
             let n = self.ceil_hull.len();
@@ -250,13 +284,12 @@ impl StabbingLine {
         match self.count {
             0 => None,
             1 => {
-                let (f, c) = self.first.expect("single segment");
+                let (f, c) = (self.floor_hull[0], self.ceil_hull[0]);
                 Some(Line { slope: 0.0, intercept: (f.v + c.v) / 2.0 })
             }
             _ => {
-                let lmax = self.line_max.expect("two or more segments");
-                let lmin = self.line_min.expect("two or more segments");
-                let (smax, smin) = (lmax.slope(), lmin.slope());
+                let (lmax, lmin) = (self.line_max, self.line_min);
+                let (smax, smin) = (lmax.slope, lmin.slope);
                 let slope = 0.5 * (smax + smin);
                 // Intersection of the two extreme lines.
                 let bmax = lmax.left.v - smax * lmax.left.t;
@@ -276,7 +309,7 @@ impl StabbingLine {
     /// The current feasible slope interval `[min, max]`; `None` with fewer
     /// than two segments (where the slope is unconstrained).
     pub fn slope_interval(&self) -> Option<(f64, f64)> {
-        Some((self.line_min?.slope(), self.line_max?.slope()))
+        (self.count >= 2).then_some((self.line_min.slope, self.line_max.slope))
     }
 }
 

@@ -28,7 +28,9 @@
 //! The result is bit-identical to the original one-pass sweep, which is kept
 //! as [`partition_reference`] and asserted equivalent in the test suite.
 
-use crate::fit::{longest_fragment, longest_fragment_in, FitView, Fragment, Kind};
+use crate::fit::{
+    longest_fragment, longest_fragment_in, span_end_in, FitView, Fragment, Kind, StabbingLine,
+};
 use crate::parallel::{effective_threads, parallel_map_indexed};
 use succinct::bits_for_residual_bound;
 
@@ -169,13 +171,14 @@ pub struct Partition {
 fn pair_plan(view: &FitView<'_>, pair: Pair) -> Vec<(u32, u32)> {
     let n = view.len();
     let mut plan = Vec::new();
+    let mut line = StabbingLine::new();
     let mut k = 0usize;
     while k < n {
-        match longest_fragment_in(view, k, pair.kind, pair.eps) {
-            Some(f) => {
-                debug_assert!(f.end > k && f.origin == k);
-                plan.push((k as u32, f.end as u32));
-                k = f.end;
+        match span_end_in(view, k, pair.kind, pair.eps, &mut line) {
+            Some(end) => {
+                debug_assert!(end > k);
+                plan.push((k as u32, end as u32));
+                k = end;
             }
             None => k += 1,
         }
@@ -214,41 +217,89 @@ pub fn partition(values: &[i64], config: &PartitionConfig) -> Partition {
     let mut prev: Vec<Option<PrevEdge>> = vec![None; n + 1];
     dist[0] = 0;
 
-    // Per-pair live span (the edge overlapping the sweep node).
-    let mut live: Vec<Option<(u32, u32)>> = vec![None; config.pairs.len()];
-    let mut cursor = vec![0usize; config.pairs.len()];
-    let weights: Vec<(u64, u64)> = config
-        .pairs
-        .iter()
-        .map(|p| (config.correction_width(p.eps), config.kappa(p.kind)))
-        .collect();
+    // Per-pair live span (the edge overlapping the sweep node), as struct
+    // of arrays. `reach[pi]` is `dist[start] + κ`, the cost of the span's
+    // prefix edges before their correction bits; it is `u64::MAX` — no
+    // prefix edge — while the span starts at the sweep node, and for a pair
+    // with no live span (whose `end` is 0, so no suffix edge either).
+    let pairs = config.pairs.len();
+    let mut live_start = vec![0u32; pairs];
+    let mut live_end = vec![0u32; pairs];
+    let mut reach = vec![u64::MAX; pairs];
+    let mut cursor = vec![0usize; pairs];
+    let cws: Vec<u64> = config.pairs.iter().map(|p| config.correction_width(p.eps)).collect();
+    let kappas: Vec<u64> = config.pairs.iter().map(|p| config.kappa(p.kind)).collect();
+    // The pairs due for a new span at each node — where their live span
+    // ends, or the next node after a failed fit — as intrusive lists, so a
+    // node visits only the pairs that change there.
+    const NIL: u32 = u32::MAX;
+    let mut due_head = vec![NIL; n + 1];
+    let mut due_next = vec![NIL; pairs];
+    for pi in (0..pairs).rev() {
+        due_next[pi] = due_head[0];
+        due_head[0] = pi as u32;
+    }
+    let mut fresh: Vec<usize> = Vec::with_capacity(pairs);
 
     for k in 0..n {
-        for pi in 0..config.pairs.len() {
-            let needs_new = live[pi].is_none_or(|(_, end)| end as usize <= k);
-            if needs_new {
-                // The sweep would fit at node k; the plan has that fragment
-                // iff the fit succeeded (its start is exactly k).
-                live[pi] = match plans[pi].get(cursor[pi]) {
-                    Some(&(s, e)) if s as usize == k => {
-                        cursor[pi] += 1;
-                        Some((s, e))
-                    }
-                    _ => None,
-                };
-            } else if let Some((s, _)) = live[pi] {
-                // Relax the prefix edge (start, k); stage-1 fragments are
-                // fit at their own start, so the origin is the start.
-                let (cw, kappa) = weights[pi];
-                relax(&mut dist, &mut prev, s as usize, k, cw, kappa, pi as u32, s);
+        let k32 = k as u32;
+        // A due pair would fit at node k; the plan has that fragment iff
+        // the fit succeeded (its start is exactly k).
+        fresh.clear();
+        let mut due = std::mem::replace(&mut due_head[k], NIL);
+        while due != NIL {
+            let pi = due as usize;
+            due = due_next[pi];
+            let next_due = match plans[pi].get(cursor[pi]) {
+                Some(&(s, e)) if s == k32 => {
+                    cursor[pi] += 1;
+                    (live_start[pi], live_end[pi]) = (s, e);
+                    fresh.push(pi);
+                    e
+                }
+                _ => {
+                    (live_start[pi], live_end[pi]) = (k32, 0);
+                    k32 + 1
+                }
+            };
+            reach[pi] = u64::MAX;
+            due_next[pi] = due_head[next_due as usize];
+            due_head[next_due as usize] = pi as u32;
+        }
+        // The prefix edges (start, k) of the spans that began before k: one
+        // reduction to the first minimum, the candidate a pair-ordered
+        // sequence of strict-improvement relaxations would keep.
+        let mut best = (u64::MAX, 0usize);
+        for pi in 0..pairs {
+            let cand = reach[pi].saturating_add(u64::from(k32 - live_start[pi]) * cws[pi]);
+            if cand < best.0 {
+                best = (cand, pi);
             }
         }
-        for pi in 0..config.pairs.len() {
-            if let Some((s, e)) = live[pi] {
-                // Relax the suffix edge (k, end) — the full edge when
-                // k == start.
-                let (cw, kappa) = weights[pi];
-                relax(&mut dist, &mut prev, k, e as usize, cw, kappa, pi as u32, s);
+        if best.0 < dist[k] {
+            let (cand, pi) = best;
+            let s = live_start[pi];
+            dist[k] = cand;
+            prev[k] = Some(PrevEdge { from: s, origin: s, pair: pi as u32 });
+        }
+        // dist[k] is final: spans starting here get their prefix reach.
+        let base = dist[k];
+        for &pi in &fresh {
+            reach[pi] = base.saturating_add(kappas[pi]);
+        }
+        // The suffix edges (k, end) — the full edge when k == start.
+        if base == u64::MAX {
+            continue;
+        }
+        for pi in 0..pairs {
+            let e = live_end[pi];
+            if e > k32 {
+                let cand = base + u64::from(e - k32) * cws[pi] + kappas[pi];
+                let e = e as usize;
+                if cand < dist[e] {
+                    dist[e] = cand;
+                    prev[e] = Some(PrevEdge { from: k32, origin: live_start[pi], pair: pi as u32 });
+                }
             }
         }
     }

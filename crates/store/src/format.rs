@@ -9,6 +9,7 @@
 
 use crate::StoreError;
 use std::collections::HashMap;
+use std::sync::Arc;
 use succinct::{crc64, WireReader, WireWriter};
 
 /// Pack header magic: the ASCII bytes `NeaTSPAK`, read as a little-endian u64.
@@ -185,21 +186,63 @@ fn write_catalog(series: &[SeriesEntry]) -> Vec<u8> {
     w.finish()
 }
 
-/// Appends catalog + footer to a pack whose data region is complete,
-/// returning the finished pack bytes.
-pub(crate) fn seal(mut pack: Vec<u8>, series: &[SeriesEntry]) -> Vec<u8> {
-    debug_assert!(pack.len() >= HEADER_LEN, "seal needs a pack with a header");
-    let catalog = write_catalog(series);
-    let catalog_offset = pack.len();
-    let crc = crc64(&catalog);
-    pack.extend_from_slice(&catalog);
-    let mut f = WireWriter::new();
-    f.u64(catalog_offset as u64);
-    f.u64(catalog.len() as u64);
-    f.u64(crc);
-    f.u64(END_MAGIC);
-    pack.extend_from_slice(&f.finish());
-    pack
+/// A pack under assembly: the byte ranges it is made of, in file order.
+/// Nothing is copied until [`Self::seal`] joins them, once, into a buffer
+/// of the pack's exact final size — so building a pack holds its inputs
+/// plus one output, never a growing copy.
+pub(crate) struct PackParts<'p> {
+    parts: Vec<&'p [u8]>,
+    len: usize,
+}
+
+impl<'p> PackParts<'p> {
+    /// Starts a pack from `prefix`: the header plus any data region to keep
+    /// verbatim.
+    pub(crate) fn new(prefix: &'p [u8]) -> Self {
+        debug_assert!(prefix.len() >= HEADER_LEN, "a pack starts with its header");
+        Self { parts: vec![prefix], len: prefix.len() }
+    }
+
+    /// Appends `bytes` to the data region, returning their offset.
+    pub(crate) fn push(&mut self, bytes: &'p [u8]) -> usize {
+        let at = self.len;
+        self.parts.push(bytes);
+        self.len += bytes.len();
+        at
+    }
+
+    /// Appends the catalog for `series` and the footer, and joins every
+    /// part with `concat` (`<[&[u8]]>::concat` or [`concat_shared`]).
+    pub(crate) fn seal<B>(self, series: &[SeriesEntry], concat: impl FnOnce(&[&[u8]]) -> B) -> B {
+        let catalog = write_catalog(series);
+        let mut f = WireWriter::new();
+        f.u64(self.len as u64);
+        f.u64(catalog.len() as u64);
+        f.u64(crc64(&catalog));
+        f.u64(END_MAGIC);
+        let footer = f.finish();
+        let mut parts = self.parts;
+        parts.push(&catalog);
+        parts.push(&footer);
+        concat(&parts)
+    }
+}
+
+/// Joins `parts` into one shared buffer allocated at its exact size: the
+/// `Arc` a [`crate::Store`] serves from, without the second full copy a
+/// `Vec<u8>` → `Arc<[u8]>` conversion makes.
+pub(crate) fn concat_shared(parts: &[&[u8]]) -> Arc<[u8]> {
+    let len = parts.iter().map(|p| p.len()).sum();
+    // `repeat_n` is a trusted-length iterator, which `Arc<[T]>` collects
+    // straight into its own allocation.
+    let mut out: Arc<[u8]> = std::iter::repeat_n(0u8, len).collect();
+    let buf = Arc::get_mut(&mut out).expect("a fresh Arc is unshared");
+    let mut at = 0;
+    for p in parts {
+        buf[at..at + p.len()].copy_from_slice(p);
+        at += p.len();
+    }
+    out
 }
 
 /// A fresh pack prefix: header only, data region empty.
@@ -341,9 +384,36 @@ pub(crate) fn parse_pack(data: &[u8]) -> Result<(Vec<SeriesEntry>, usize), Store
 mod tests {
     use super::*;
 
+    fn empty_sealed() -> Vec<u8> {
+        let header = empty_pack();
+        PackParts::new(&header).seal(&[], |parts| parts.concat())
+    }
+
+    #[test]
+    fn shared_and_owned_assembly_are_identical() {
+        let header = empty_pack();
+        let blobs: [&[u8]; 3] = [b"frame", b"", b"stamps"];
+        let assemble = |shared: bool| {
+            let mut pack = PackParts::new(&header);
+            let offsets: Vec<usize> = blobs.iter().map(|b| pack.push(b)).collect();
+            assert_eq!(offsets, [HEADER_LEN, HEADER_LEN + 5, HEADER_LEN + 5]);
+            if shared {
+                pack.seal(&[], concat_shared).to_vec()
+            } else {
+                pack.seal(&[], |parts| parts.concat())
+            }
+        };
+        let owned = assemble(false);
+        assert_eq!(assemble(true), owned);
+        assert_eq!(&owned[HEADER_LEN..HEADER_LEN + 11], b"framestamps");
+        let (series, off) = parse_pack(&owned).unwrap();
+        assert!(series.is_empty());
+        assert_eq!(off, HEADER_LEN + 11);
+    }
+
     #[test]
     fn empty_catalog_roundtrips() {
-        let pack = seal(empty_pack(), &[]);
+        let pack = empty_sealed();
         let (series, off) = parse_pack(&pack).unwrap();
         assert!(series.is_empty());
         assert_eq!(off, HEADER_LEN);
@@ -351,7 +421,7 @@ mod tests {
 
     #[test]
     fn truncations_rejected() {
-        let pack = seal(empty_pack(), &[]);
+        let pack = empty_sealed();
         for cut in 0..pack.len() {
             assert!(parse_pack(&pack[..cut]).is_err(), "cut {cut}");
         }
@@ -362,7 +432,7 @@ mod tests {
         // The catalog region = catalog bytes + footer. Flip every byte of a
         // minimal pack; all are in the catalog region here, and every flip
         // must be rejected.
-        let pack = seal(empty_pack(), &[]);
+        let pack = empty_sealed();
         for pos in HEADER_LEN..pack.len() {
             for bit in [1u8, 0x80] {
                 let mut bad = pack.clone();

@@ -494,15 +494,14 @@ impl Store {
     /// `compact_preserves_catalog_order_and_is_idempotent` pins both
     /// properties.
     pub fn compact(&self) -> Vec<u8> {
-        let mut pack = format::empty_pack();
+        let header = format::empty_pack();
+        let mut pack = format::PackParts::new(&header);
         let mut entries = Vec::with_capacity(self.series.len());
         for s in &self.series {
             let mut segments = Vec::with_capacity(s.segments().len());
             for m in s.segments() {
-                let data_offset = pack.len();
-                pack.extend_from_slice(&self.data[m.data_offset..m.data_offset + m.data_len]);
-                let ts_offset = pack.len();
-                pack.extend_from_slice(&self.data[m.ts_offset..m.ts_offset + m.ts_len]);
+                let data_offset = pack.push(&self.data[m.data_offset..m.data_offset + m.data_len]);
+                let ts_offset = pack.push(&self.data[m.ts_offset..m.ts_offset + m.ts_len]);
                 segments.push(SegmentMeta {
                     data_offset,
                     ts_offset,
@@ -515,7 +514,7 @@ impl Store {
                 segments,
             });
         }
-        format::seal(pack, &entries)
+        pack.seal(&entries, |parts| parts.concat())
     }
 }
 

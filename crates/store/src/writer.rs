@@ -1,9 +1,11 @@
 //! Building packs: batch ingestion, segmentation, and parallel compression.
 
-use crate::format::{self, SegmentMeta, SeriesEntry, StoreMode};
+use crate::format::{self, PackParts, SegmentMeta, SeriesEntry, StoreMode};
 use crate::StoreError;
 use neats_core::parallel::{effective_threads, parallel_map_indexed};
 use neats_core::{ArchiveFlavor, ArchiveView, NeaTSBuilder};
+use std::borrow::Cow;
+use std::sync::Arc;
 use succinct::{crc64, EliasFano, Wire, WireWriter};
 use timeseries::TimeSeries;
 
@@ -72,27 +74,33 @@ impl WriterSeries {
 /// [`Self::delete_series`] (or deleting + re-ingesting) leaves the old
 /// segment bytes in place as *dead* bytes — [`crate::Store::compact`]
 /// reclaims them.
-pub struct StoreWriter {
+///
+/// An appending writer borrows the existing pack instead of copying it; the
+/// finished pack is assembled once, at its exact size, so building one
+/// holds the old pack plus the new one and nothing more.
+pub struct StoreWriter<'a> {
     cfg: StoreConfig,
-    /// Header + data region accumulated so far (committed blobs verbatim).
-    base: Vec<u8>,
+    /// Header + data region carried over verbatim (committed blobs).
+    base: Cow<'a, [u8]>,
     series: Vec<WriterSeries>,
 }
 
-impl StoreWriter {
+impl StoreWriter<'static> {
     /// A writer for a fresh pack.
     pub fn new(cfg: StoreConfig) -> Self {
         assert!(cfg.segment_points >= 1, "segment_points must be at least 1");
-        Self { cfg, base: format::empty_pack(), series: Vec::new() }
+        Self { cfg, base: Cow::Owned(format::empty_pack()), series: Vec::new() }
     }
+}
 
+impl<'a> StoreWriter<'a> {
     /// A writer that appends to an existing pack: its catalog is parsed,
     /// its data region (including any dead bytes) is kept verbatim, and new
     /// ingests extend the listed series or add new ones.
-    pub fn append_to(pack: &[u8], cfg: StoreConfig) -> Result<Self, StoreError> {
+    pub fn append_to(pack: &'a [u8], cfg: StoreConfig) -> Result<Self, StoreError> {
         assert!(cfg.segment_points >= 1, "segment_points must be at least 1");
         let (entries, catalog_offset) = format::parse_pack(pack)?;
-        let base = pack[..catalog_offset].to_vec();
+        let base = Cow::Borrowed(&pack[..catalog_offset]);
         let series = entries
             .into_iter()
             .map(|e| WriterSeries {
@@ -261,10 +269,22 @@ impl StoreWriter {
     /// footer), returning the finished bytes.
     ///
     /// The output is deterministic and thread-count-invariant: segment
-    /// compression itself is bit-identical across thread counts (the PR-2
+    /// compression itself is bit-identical across thread counts (the
     /// partitioner guarantee), and blobs are appended in catalog order.
     pub fn finish(self) -> Result<Vec<u8>, StoreError> {
-        let StoreWriter { cfg, mut base, series } = self;
+        self.finish_with(|parts| parts.concat())
+    }
+
+    /// [`Self::finish`] into the shared buffer [`crate::Store::open_with`]
+    /// serves from, so opening the new pack copies nothing.
+    pub fn finish_shared(self) -> Result<Arc<[u8]>, StoreError> {
+        self.finish_with(format::concat_shared)
+    }
+
+    /// Compresses the pending batches, lays the pack out as borrowed parts,
+    /// and joins them once with `concat`.
+    fn finish_with<B>(self, concat: impl FnOnce(&[&[u8]]) -> B) -> Result<B, StoreError> {
+        let StoreWriter { cfg, base, series } = self;
 
         // One task per future segment, across all series.
         struct Task<'a> {
@@ -295,15 +315,15 @@ impl StoreWriter {
                 StoreMode::Lossless => inner.build(&ts).to_bytes(),
                 StoreMode::Lossy { eps } => inner.build_lossy(&ts, eps).to_bytes(),
             };
-            let base_t = t.stamps[0];
-            let rebased: Vec<u64> = t.stamps.iter().map(|&x| x - base_t).collect();
-            let mut w = WireWriter::new();
-            w.u64(base_t);
-            EliasFano::new(&rebased).write(&mut w);
-            (frame, w.finish())
+            (frame, timestamp_blob(t.stamps))
         });
+        let sealed_ts: Vec<Vec<Vec<u8>>> = series
+            .iter()
+            .map(|s| s.pending_sealed.iter().map(|(_, stamps)| timestamp_blob(stamps)).collect())
+            .collect();
 
-        // Append blobs in task order and assemble the catalog.
+        // Lay out the blobs in task order and assemble the catalog.
+        let mut pack = PackParts::new(&base);
         let mut entries: Vec<SeriesEntry> = series
             .iter()
             .map(|s| SeriesEntry {
@@ -316,56 +336,53 @@ impl StoreWriter {
         // segments and its freshly-compressed batch segments (the order
         // `append_compressed_segment` promises).
         for (si, s) in series.iter().enumerate() {
-            for (frame, stamps) in &s.pending_sealed {
-                let entry = &mut entries[si];
-                let first_index = entry.len();
-                let data_offset = base.len();
-                base.extend_from_slice(frame);
-                let base_t = stamps[0];
-                let rebased: Vec<u64> = stamps.iter().map(|&x| x - base_t).collect();
-                let mut w = WireWriter::new();
-                w.u64(base_t);
-                EliasFano::new(&rebased).write(&mut w);
-                let ts_blob = w.finish();
-                let ts_offset = base.len();
-                base.extend_from_slice(&ts_blob);
-                entry.segments.push(SegmentMeta {
-                    data_offset,
-                    data_len: frame.len(),
-                    ts_offset,
-                    ts_len: ts_blob.len(),
-                    ts_crc: crc64(&ts_blob),
-                    first_index,
-                    count: stamps.len(),
-                    t_min: stamps[0],
-                    t_max: *stamps.last().expect("non-empty sealed segment"),
-                });
+            for ((frame, stamps), ts_blob) in s.pending_sealed.iter().zip(&sealed_ts[si]) {
+                add_segment(&mut pack, &mut entries[si], frame, ts_blob, stamps);
             }
         }
         for (task, (frame, ts_blob)) in tasks.iter().zip(&blobs) {
-            let entry = &mut entries[task.series];
-            let first_index = entry.len();
-            let data_offset = base.len();
-            base.extend_from_slice(frame);
-            let ts_offset = base.len();
-            base.extend_from_slice(ts_blob);
-            entry.segments.push(SegmentMeta {
-                data_offset,
-                data_len: frame.len(),
-                ts_offset,
-                ts_len: ts_blob.len(),
-                ts_crc: crc64(ts_blob),
-                first_index,
-                count: task.values.len(),
-                t_min: task.stamps[0],
-                t_max: *task.stamps.last().expect("non-empty task"),
-            });
+            add_segment(&mut pack, &mut entries[task.series], frame, ts_blob, task.stamps);
         }
         // A series that ended up with no segments (created then deleted, or
         // never filled) has no catalog entry.
         entries.retain(|e| !e.segments.is_empty());
-        Ok(format::seal(base, &entries))
+        Ok(pack.seal(&entries, concat))
     }
+}
+
+/// Lays out one segment's frame and timestamp blob and lists it in `entry`.
+fn add_segment<'p>(
+    pack: &mut PackParts<'p>,
+    entry: &mut SeriesEntry,
+    frame: &'p [u8],
+    ts_blob: &'p [u8],
+    stamps: &[u64],
+) {
+    let first_index = entry.len();
+    let data_offset = pack.push(frame);
+    let ts_offset = pack.push(ts_blob);
+    entry.segments.push(SegmentMeta {
+        data_offset,
+        data_len: frame.len(),
+        ts_offset,
+        ts_len: ts_blob.len(),
+        ts_crc: crc64(ts_blob),
+        first_index,
+        count: stamps.len(),
+        t_min: stamps[0],
+        t_max: *stamps.last().expect("non-empty segment"),
+    });
+}
+
+/// A segment's timestamp blob: the first stamp, then the stamps rebased
+/// onto it as Elias-Fano.
+fn timestamp_blob(stamps: &[u64]) -> Vec<u8> {
+    let base_t = stamps[0];
+    let rebased: Vec<u64> = stamps.iter().map(|&x| x - base_t).collect();
+    let mut w = WireWriter::new();
+    w.u64(base_t);
+    EliasFano::new(&rebased).write(&mut w);
+    w.finish()
 }
 
 #[cfg(test)]
@@ -401,6 +418,34 @@ mod tests {
         let pack = w.finish().unwrap();
         let (entries, _) = format::parse_pack(&pack).unwrap();
         assert!(entries.is_empty());
+    }
+
+    #[test]
+    fn shared_finish_is_byte_identical_and_borrows_the_base() {
+        let cfg = StoreConfig { segment_points: 64, ..StoreConfig::default() };
+        let mut w = StoreWriter::new(cfg.clone());
+        let stamps: Vec<u64> = (0..150).collect();
+        let values: Vec<i64> = (0..150).map(|k| k * k % 97).collect();
+        w.ingest("a", &stamps, &values).unwrap();
+        let base = w.finish().unwrap();
+
+        let frame = neats_core::NeaTS::compress(&TimeSeries::from_values(vec![5, 6, 7])).to_bytes();
+        let build = || {
+            let mut w = StoreWriter::append_to(&base, cfg.clone()).unwrap();
+            assert!(matches!(w.base, Cow::Borrowed(_)), "append_to must not copy the pack");
+            w.append_compressed_segment("a", &frame, &[200, 201, 202]).unwrap();
+            w.ingest("a", &[300, 301], &[1, 2]).unwrap();
+            w.ingest("b", &stamps, &values).unwrap();
+            w
+        };
+        let owned = build().finish().unwrap();
+        let shared = build().finish_shared().unwrap();
+        assert_eq!(&shared[..], &owned[..]);
+        let (_, data_end) = format::parse_pack(&base).unwrap();
+        assert!(owned.starts_with(&base[..data_end]), "the old data region is kept verbatim");
+        let (entries, _) = format::parse_pack(&owned).unwrap();
+        assert_eq!(entries[0].len(), 155);
+        assert_eq!(entries[1].len(), 150);
     }
 
     #[test]
